@@ -38,6 +38,7 @@ from .emr import (
     IpfReport,
     JointAssignment,
     Rejection,
+    emr_check,
     emr_feasible,
     emr_fuse,
     emr_fuse_approx,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 MAX_ATOMS = 12
@@ -206,7 +207,6 @@ class PreBooleanAlgebra:
                 if m >> k & 1:
                     mask |= 1 << m
             ambient[atoms[k]] = mask
-        self._ambient_atom_masks = ambient
 
         surviving = full
         normalized = []
@@ -226,32 +226,35 @@ class PreBooleanAlgebra:
         )
 
         self._atom_bits = {name: ambient[name] & surviving for name in atoms}
+        # cone(T) = surviving minterms where every atom of T holds, for
+        # each nonempty atom subset T as a bitmask over the atoms.
+        self._cones = {}
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            self._cones[mask] = self._cones.get(mask ^ low, surviving) & (
+                ambient[atoms[low.bit_length() - 1]]
+            )
         self._lattice_bits = self._close()
         self.lattice = tuple(Proposition(self, b) for b in self._lattice_bits)
         self.index = {p: i for i, p in enumerate(self.lattice)}
         self.bot = Proposition(self, 0)
         self.top = Proposition(self, surviving)
         self._labels: dict[int, str] = {}
-        self._cones: dict[int, int] | None = None
 
     def _close(self) -> tuple[int, ...]:
-        bits = {0, self.surviving} | set(self._atom_bits.values())
-        frontier = list(bits)
-        while frontier:
-            members = list(bits)
-            fresh = []
-            for x in frontier:
-                for y in members:
-                    for v in (x & y, x | y):
-                        if v not in bits:
-                            bits.add(v)
-                            fresh.append(v)
-                            if len(bits) > MAX_LATTICE:
-                                raise LatticeExplosionError(
-                                    f"lattice closure exceeded {MAX_LATTICE} "
-                                    "elements; reduce atoms or add constraints"
-                                )
-            frontier = fresh
+        # The lattice is distributive, so every member is a join of cones
+        # (meets of atoms), and the join-closure of bot, top and the cones
+        # is closed under meet as well.
+        bits = {0, self.surviving}
+        for cone in self._cones.values():
+            if cone in bits:
+                continue
+            bits |= {b | cone for b in bits}
+            if len(bits) > MAX_LATTICE:
+                raise LatticeExplosionError(
+                    f"lattice closure exceeded {MAX_LATTICE} "
+                    "elements; reduce atoms or add constraints"
+                )
         return tuple(sorted(bits, key=lambda b: (b.bit_count(), b)))
 
     def __len__(self) -> int:
@@ -272,25 +275,11 @@ class PreBooleanAlgebra:
 
     @cached_property
     def is_insulated(self) -> bool:
-        """True when no meet of two non-bot lattice members is bot."""
+        """True when no meet of two non-bot lattice members is bot.  The
+        lattice is closed under meet, so that holds exactly when the meet
+        of all non-bot members is not bot."""
         nonbot = [b for b in self._lattice_bits if b]
-        return all(
-            x & y for i, x in enumerate(nonbot) for y in nonbot[i:]
-        )
-
-    def _atom_cones(self) -> dict[int, int]:
-        # cone(T) = surviving minterms where every atom of T holds.
-        if self._cones is None:
-            n = len(self.atoms)
-            cones = {}
-            for mask in range(1, 1 << n):
-                cone = self.surviving
-                for k in range(n):
-                    if mask >> k & 1:
-                        cone &= self._ambient_atom_masks[self.atoms[k]]
-                cones[mask] = cone
-            self._cones = cones
-        return self._cones
+        return not nonbot or reduce(and_, nonbot) != 0
 
     def label(self, prop: Proposition) -> str:
         if prop.algebra is not self:
@@ -306,7 +295,7 @@ class PreBooleanAlgebra:
             return "bot"
         if bits == self.surviving:
             return "top"
-        cones = self._atom_cones()
+        cones = self._cones
         terms = [t for t, cone in cones.items() if cone and cone & bits == cone]
         minimal = [
             t for t in terms

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -159,34 +158,3 @@ def enhancement_bound_check(
     )
     return total <= 1.0 + ENHANCEMENT_TOL
 
-
-def find_enhancement_violation(
-    bba1: Bba, bba2: Bba, max_candidates: int = 16
-) -> tuple[Proposition, ...] | None:
-    """Search pairwise-disjoint families of focal elements whose combined
-    best-supported beliefs exceed 1; used as a human-readable rejection
-    witness.  Returns the worst violating family, or None."""
-    candidates = sorted(
-        {p for p in (*bba1.focals, *bba2.focals) if not p.is_bot},
-        key=lambda p: bba1.algebra.index[p],
-    )
-    if len(candidates) > max_candidates:
-        return None
-    bels = {
-        p: max(belief(bba1, p), belief(bba2, p)) for p in candidates
-    }
-    best = None
-    best_total = 1.0 + ENHANCEMENT_TOL
-    for r in range(2, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, r):
-            if any(
-                not meet(x, y).is_bot
-                for i, x in enumerate(combo)
-                for y in combo[i + 1:]
-            ):
-                continue
-            total = sum(bels[p] for p in combo)
-            if total > best_total:
-                best = combo
-                best_total = total
-    return best

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import yaml
 
 from .algebra import AlgebraError, PreBooleanAlgebra, Proposition
-from .belief import Bba, BbaError, belief, find_enhancement_violation
+from .belief import Bba, BbaError, belief
 from .emr import (
     EmrError,
     FusionOutcome,
-    emr_feasible,
-    emr_fuse,
+    emr_check,
     emr_fuse_approx,
     emr_fuse_n,
 )
@@ -264,17 +263,16 @@ def cmd_check(args) -> int:
     picked = _pick_sources(model, args.sources)
     bbas = [b for _, b in picked]
     try:
-        ok, residual = emr_feasible(bbas)
+        residual, rejection = emr_check(bbas)
     except (EmrError, AlgebraError, BbaError) as exc:
         raise CliError(str(exc)) from exc
-    print(f"feasible: {str(ok).lower()}")
+    print(f"feasible: {str(rejection is None).lower()}")
     print(f"phase1_residual: {_fmt(residual)}")
-    if len(bbas) == 2:
-        family = find_enhancement_violation(bbas[0], bbas[1])
-        if family is not None:
-            labels = ", ".join(model.algebra.label(p) for p in family)
-            print(f"violated_family: [{labels}]")
-    return 0 if ok else 2
+    if rejection is not None and rejection.violated_family:
+        family = rejection.violated_family
+        labels = ", ".join(model.algebra.label(p) for p in family)
+        print(f"violated_family: [{labels}]")
+    return 0 if rejection is None else 2
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .algebra import (
     Proposition,
     powerset_algebra,
 )
-from .belief import Bba, find_enhancement_violation, validate
+from .belief import Bba, validate
 from .optim import (
     PgResult,
     SolverConfig,
@@ -28,6 +28,7 @@ from .optim import (
 )
 
 DEFAULT_CELL_CAP = 10**7
+_ROUNDING = 1e-12
 
 
 class EmrError(ValueError):
@@ -49,8 +50,10 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class Rejection:
-    """Infeasibility evidence: the phase-I residual, plus a violated
-    pairwise-disjoint belief family when one is found."""
+    """Infeasibility evidence: the phase-I residual and, when two sources
+    were fused, a pairwise-disjoint family whose best-supported beliefs
+    sum to at least ``1 + phase1_residual / 2`` up to rounding, so that
+    ``enhancement_bound_check`` rejects it (None for N >= 3 sources)."""
 
     phase1_residual: float
     violated_family: tuple[Proposition, ...] | None
@@ -88,6 +91,8 @@ class IpfReport:
 
 
 def _joint_problem(bbas: Sequence[Bba]):
+    if len(bbas) < 2:
+        raise EmrError("at least two bbas are required")
     algebra = bbas[0].algebra
     for b in bbas:
         if b.algebra is not algebra:
@@ -105,53 +110,91 @@ def _joint_problem(bbas: Sequence[Bba]):
         np.array([b.mass(p) for p in focals])
         for b, focals in zip(bbas, focal_lists)
     ]
-    cells = list(itertools.product(*[range(len(fl)) for fl in focal_lists]))
+    allowed: dict[tuple[int, ...], int] = {}
     forbidden = set()
-    for cell in cells:
+    for cell in itertools.product(*[range(len(fl)) for fl in focal_lists]):
         bits = algebra.surviving
         for axis, k in enumerate(cell):
             bits &= focal_lists[axis][k].bits
         if bits == 0:
             forbidden.add(cell)
-    return algebra, focal_lists, marginals, cells, forbidden
+        else:
+            allowed[cell] = bits
+    return algebra, focal_lists, marginals, allowed, forbidden
 
 
-def _cell_meet(
+def _rejection(
     algebra: PreBooleanAlgebra,
     focal_lists: Sequence[Sequence[Proposition]],
-    cell: tuple[int, ...],
-) -> Proposition:
-    bits = algebra.surviving
-    for axis, k in enumerate(cell):
-        bits &= focal_lists[axis][k].bits
-    return Proposition(algebra, bits)
-
-
-def _reject(bbas: Sequence[Bba], residual: float) -> FusionOutcome:
-    family = None
-    if len(bbas) == 2:
-        family = find_enhancement_violation(bbas[0], bbas[1])
+    marginals: Sequence[np.ndarray],
+    allowed: Collection[tuple[int, int]],
+    residual: float,
+    point: np.ndarray,
+) -> Rejection:
+    """For two sources the phase-I point is a maximum flow over the
+    allowed cells.  By Gale's supply-demand theorem (Pacific J. Math. 7,
+    1957), the source-1 focals X reached from the under-supplied ones
+    (forward along allowed cells, back along cells carrying flow) meet
+    no source-2 focal in the set Y outside their neighbours N(X), and
+    m1(X) + m2(Y) = 1 + residual / 2.  The joins of the groups of
+    overlapping members of X and Y are pairwise disjoint by
+    distributivity, and their beliefs sum at least as much."""
     message = "no joint assignment satisfies the marginal constraints"
-    if family is not None:
-        labels = ", ".join(bbas[0].algebra.label(p) for p in family)
-        message += (
-            f"; the disjoint family {{{labels}}} has combined belief above 1"
+    if len(focal_lists) != 2:
+        return Rejection(residual, None, message)
+    first, second = focal_lists
+    # Shortfalls and flows below this count as rounding.  Together they
+    # hold less than half of source 1's shortfall, residual / 2, so the
+    # family's beliefs sum above 1 however small the residual.
+    noise = min(_ROUNDING, residual / (4 * (len(first) + len(allowed))))
+    shipped = np.bincount([i for i, _ in allowed], point, len(first))
+    x = {i for i, short in enumerate(marginals[0] - shipped) if short > noise}
+    while True:
+        nx = {j for i, j in allowed if i in x}
+        grown = x | {
+            i for (i, j), value in zip(allowed, point)
+            if j in nx and value > noise
+        }
+        if grown == x:
+            break
+        x = grown
+    groups: list[int] = []
+    for prop in [first[i] for i in x] + [
+        q for j, q in enumerate(second) if j not in nx
+    ]:
+        bits = prop.bits
+        for overlapping in [g for g in groups if g & bits]:
+            groups.remove(overlapping)
+            bits |= overlapping
+        groups.append(bits)
+    family = tuple(sorted(
+        (Proposition(algebra, bits) for bits in groups),
+        key=algebra.index.__getitem__,
+    ))
+    labels = ", ".join(algebra.label(p) for p in family)
+    message += f"; the disjoint family {{{labels}}} has combined belief above 1"
+    return Rejection(residual, family, message)
+
+
+def _fuse(
+    bbas: Sequence[Bba],
+    solve: Callable[..., PgResult],
+    config: SolverConfig | None,
+) -> FusionOutcome:
+    """Solve the joint problem of ``bbas``; reject, or fuse the meets."""
+    algebra, focal_lists, marginals, allowed, _ = _joint_problem(bbas)
+    result = solve(list(allowed), marginals, config=config)
+    if not result.feasible:
+        rejection = _rejection(
+            algebra, focal_lists, marginals, allowed,
+            result.phase1_residual, result.f,
         )
-    return FusionOutcome(
-        bba=None,
-        rejection=Rejection(residual, family, message),
-        diagnostics=None,
-    )
-
-
-def _package(bbas: Sequence[Bba], focal_lists, cells_allowed, result: PgResult) -> FusionOutcome:
-    algebra = bbas[0].algebra
+        return FusionOutcome(bba=None, rejection=rejection, diagnostics=None)
     masses: dict[Proposition, float] = {}
-    for cell, value in zip(cells_allowed, result.f):
+    for bits, value in zip(allowed.values(), result.f):
         if value != 0.0:
-            prop = _cell_meet(algebra, focal_lists, cell)
+            prop = Proposition(algebra, bits)
             masses[prop] = masses.get(prop, 0.0) + float(value)
-    fused = Bba(algebra, masses, coherent=True)
     diagnostics = Diagnostics(
         entropy=result.objective,
         iterations=result.iterations,
@@ -159,6 +202,7 @@ def _package(bbas: Sequence[Bba], focal_lists, cells_allowed, result: PgResult) 
         optimality_certificate=result.certificate,
         certified=result.certified,
     )
+    fused = Bba(algebra, masses, coherent=True)
     return FusionOutcome(bba=fused, rejection=None, diagnostics=diagnostics)
 
 
@@ -171,20 +215,13 @@ def emr_fuse_n(
     joint assignment subject to all N marginals, with cells whose meet is
     bot pinned to zero; the fused mass of phi sums the optimum over tuples
     whose meet is phi."""
-    if len(bbas) < 2:
-        raise EmrError("at least two bbas are required")
     cell_count = math.prod(len(b.focals) for b in bbas)
     if cell_count > cell_cap:
         raise CellCapError(
             f"joint assignment needs {cell_count} cells, above the cap "
             f"{cell_cap}"
         )
-    algebra, focal_lists, marginals, cells, forbidden = _joint_problem(bbas)
-    allowed = [cell for cell in cells if cell not in forbidden]
-    result = maxent_projected_gradient(allowed, marginals, config=config)
-    if not result.feasible:
-        return _reject(bbas, result.phase1_residual)
-    return _package(bbas, focal_lists, allowed, result)
+    return _fuse(bbas, maxent_projected_gradient, config)
 
 
 def emr_fuse(
@@ -200,29 +237,33 @@ def emr_fuse_approx(
 ) -> FusionOutcome:
     """Same constraint set as emr_fuse, with the quadratic surrogate
     objective ``-sum f**2`` instead of the entropy."""
-    algebra, focal_lists, marginals, cells, forbidden = _joint_problem(
-        [bba1, bba2]
+    return _fuse([bba1, bba2], quadratic_projected_gradient, config)
+
+
+def emr_check(
+    bbas: Sequence[Bba], feasibility_tol: float = 1e-9
+) -> tuple[float, Rejection | None]:
+    """Phase-I feasibility of the fusion without the optimum: the
+    residual (0 when feasible) and the rejection that ``emr_fuse_n``
+    would return, or None when the sources are compatible."""
+    algebra, focal_lists, marginals, allowed, _ = _joint_problem(bbas)
+    ok, residual, point = feasible_point(
+        list(allowed), marginals, feasibility_tol=feasibility_tol
     )
-    allowed = [cell for cell in cells if cell not in forbidden]
-    result = quadratic_projected_gradient(allowed, marginals, config=config)
-    if not result.feasible:
-        return _reject([bba1, bba2], result.phase1_residual)
-    return _package([bba1, bba2], focal_lists, allowed, result)
+    if ok:
+        return residual, None
+    return residual, _rejection(
+        algebra, focal_lists, marginals, allowed, residual, point
+    )
 
 
 def emr_feasible(
     bbas: Sequence[Bba], feasibility_tol: float = 1e-9
 ) -> tuple[bool, float]:
     """Phase-I feasibility of the fusion; returns the verdict and the
-    residual witness (0 when feasible)."""
-    if len(bbas) < 2:
-        raise EmrError("at least two bbas are required")
-    _, _, marginals, cells, forbidden = _joint_problem(bbas)
-    allowed = [cell for cell in cells if cell not in forbidden]
-    ok, residual, _ = feasible_point(
-        allowed, marginals, feasibility_tol=feasibility_tol
-    )
-    return ok, residual
+    residual (0 when feasible).  ``emr_check`` adds the witness."""
+    residual, rejection = emr_check(bbas, feasibility_tol)
+    return rejection is None, residual
 
 
 # -- closed-form oracle for the generalized Zadeh family ---------------------
@@ -332,9 +373,7 @@ def ipf_oracle(
     to its marginal.  Converges to the entropy-maximizing joint assignment
     whenever one with full support on the (support-reduced) allowed cells
     exists; otherwise reports non-convergence."""
-    if len(bbas) < 2:
-        raise EmrError("at least two bbas are required")
-    algebra, focal_lists, marginals, cells, forbidden = _joint_problem(bbas)
+    algebra, focal_lists, marginals, _, forbidden = _joint_problem(bbas)
 
     shape = tuple(len(fl) for fl in focal_lists)
     allowed = np.ones(shape, dtype=bool)

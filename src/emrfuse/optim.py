@@ -169,10 +169,11 @@ class _Simplex:
             self._pivot(best_row, enter)
 
     def _prune_artificials(self) -> None:
-        # Pivot basic artificials (at value 0) out; drop redundant rows.
+        # Pivot basic artificials at value 0 out, keeping the point of an
+        # infeasible phase I; drop redundant rows.
         drop = []
         for i in range(len(self.basis)):
-            if self.basis[i] < self.n:
+            if self.basis[i] < self.n or self.rhs[i] > _PIVOT_TOL:
                 continue
             col = -1
             for j in range(self.n):
@@ -255,14 +256,15 @@ def _cell_matrix(
 
 @dataclass(frozen=True)
 class PgResult:
-    """Outcome of a maximization.  ``iterations`` is 1 for the phase-I
-    vertex plus the number of Newton steps taken.  ``objective_history``
-    holds the objective at the start of the Newton phase (the phase-I
-    vertex when that certifies at once) and after every step; it never
-    decreases."""
+    """Outcome of a maximization; ``f`` is the phase-I point when
+    infeasible (see ``feasible_point``).  ``iterations`` is 1 for the
+    phase-I vertex plus the number of Newton steps taken.
+    ``objective_history`` holds the objective at the start of the Newton
+    phase (the phase-I vertex when that certifies at once) and after
+    every step; it never decreases."""
 
     feasible: bool
-    f: np.ndarray | None
+    f: np.ndarray
     objective: float
     iterations: int
     certificate: float
@@ -398,7 +400,7 @@ def _maximize(
     if phase1 > config.feasibility_tol:
         return PgResult(
             feasible=False,
-            f=None,
+            f=np.zeros(0) if simplex is None else simplex.solution(),
             objective=float("nan"),
             iterations=0,
             certificate=float("inf"),
@@ -494,13 +496,15 @@ def feasible_point(
     marginals: Sequence[np.ndarray],
     forbidden: Iterable[tuple[int, ...]] = (),
     feasibility_tol: float = 1e-9,
-) -> tuple[bool, float, np.ndarray | None]:
+) -> tuple[bool, float, np.ndarray]:
     """Phase-I check: does a nonnegative cell vector meeting all marginals
-    exist, with forbidden cells zeroed?  Returns (feasible, residual, point)."""
+    exist, with forbidden cells zeroed?  Returns (feasible, residual,
+    point).  On an infeasible verdict the point is the phase-I optimum:
+    for two unit marginals a maximum flow over the allowed cells, of
+    total ``1 - residual / 2``."""
     residual, _, _, simplex = _phase_one(cells, marginals, forbidden)
-    if residual > feasibility_tol:
-        return False, residual, None
-    return True, residual, (np.zeros(0) if simplex is None else simplex.solution())
+    point = np.zeros(0) if simplex is None else simplex.solution()
+    return residual <= feasibility_tol, residual, point
 
 
 def maxent_projected_gradient(

@@ -41,6 +41,12 @@ def test_free_algebra_has_20_elements(free_abc):
     assert len(free_abc) == 20
 
 
+def test_free_five_atom_algebra_has_dedekind_many_elements():
+    # The free distributive lattice on 5 generators plus bot and top has
+    # the Dedekind number M(5) = 7581 elements.
+    assert len(build_algebra(list("abcde"))) == 7581
+
+
 def test_powerset_algebra_has_8_elements(powerset_abc):
     assert len(powerset_abc) == 8
 

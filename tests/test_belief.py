@@ -9,13 +9,13 @@ from emrfuse import (
     BbaError,
     MixedAlgebraError,
     belief,
+    emr_check,
     enhancement_bound_check,
     is_sub,
     smets_belief,
     total_ignorance,
     validate,
 )
-from emrfuse.belief import find_enhancement_violation
 
 
 def random_bba(algebra, data, allow_bot=False):
@@ -171,11 +171,14 @@ def test_enhancement_bound_requires_disjoint_family(powerset_abc):
 
 
 def test_find_enhancement_violation(binary):
+    # The rejection witness read off the phase-I maximum flow.
     m12 = Bba.from_masses(binary, {"a": 0.75, "top": 0.25})
     m3 = Bba.from_masses(binary, {"na": 0.5, "top": 0.5})
-    family = find_enhancement_violation(m12, m3)
+    _, rejection = emr_check([m12, m3])
+    family = rejection.violated_family
     assert family is not None
     labels = sorted(binary.label(p) for p in family)
     assert labels == ["a", "na"]
+    assert not enhancement_bound_check(m12, m3, family)
     m1 = Bba.from_masses(binary, {"a": 0.5, "top": 0.5})
-    assert find_enhancement_violation(m1, m3) is None
+    assert emr_check([m1, m3])[1] is None

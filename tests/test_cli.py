@@ -226,3 +226,28 @@ def test_check_infeasible_with_witness(capsys, models_dir):
     assert code == 2
     assert "feasible: false" in out
     assert "violated_family" in out
+
+
+def test_check_and_fuse_report_the_same_family(capsys, models_dir):
+    model = str(models_dir / "zadeh_classic.yaml")
+    _, checked, _ = run(capsys, "check", model, "--sources", "s1,s2")
+    _, fused, _ = run(
+        capsys, "fuse", model, "--rule", "emr", "--sources", "s1,s2"
+    )
+    assert "violated_family: [a, b, c]" in checked
+    assert 'violated_family: ["a", "b", "c"]' in fused
+
+
+def test_check_reports_witness_outside_the_focals(capsys, tmp_path):
+    path = tmp_path / "overlapping.yaml"
+    path.write_text(
+        "atoms: [a, b, c, d]\n"
+        "constraints: [a&b = bot, a&c = bot, a&d = bot, b&c = bot, "
+        "b&d = bot, c&d = bot, a|b|c|d = top]\n"
+        "sources:\n"
+        "  - {name: s1, masses: {a|b: 0.56, d: 0.44}}\n"
+        "  - {name: s2, masses: {a|b|d: 0.13, a|b: 0.31, a|c: 0.56}}\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--sources", "s1,s2")
+    assert code == 2
+    assert "violated_family: [d, a|b|c]" in out

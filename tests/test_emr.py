@@ -11,11 +11,15 @@ from emrfuse import (
     MixedAlgebraError,
     SolverConfig,
     belief,
+    build_algebra,
+    emr_check,
     emr_feasible,
     emr_fuse,
     emr_fuse_approx,
     emr_fuse_n,
+    enhancement_bound_check,
     ipf_oracle,
+    powerset_algebra,
     total_ignorance,
     zadeh_family_bbas,
     zadeh_family_oracle,
@@ -113,6 +117,72 @@ def test_solver_rejects_with_witness():
     labels = set(algebra.label(p) for p in rejection.violated_family)
     assert {"a", "b"} <= labels
     assert "belief" in rejection.message
+
+
+POWERSET4 = [
+    "a&b = bot", "a&c = bot", "a&d = bot", "b&c = bot", "b&d = bot",
+    "c&d = bot", "a|b|c|d = top",
+]
+
+
+def test_witness_joins_overlapping_focals():
+    # No family of focal elements violates the bound here: a|b and a|c
+    # overlap.  Their join a|b|c does, next to d.
+    algebra = build_algebra(list("abcd"), POWERSET4)
+    s1 = Bba.from_masses(algebra, {"a|b": 0.56, "d": 0.44})
+    s2 = Bba.from_masses(algebra, {"a|b|d": 0.13, "a|b": 0.31, "a|c": 0.56})
+    outcome = emr_fuse(s1, s2)
+    assert not outcome.accepted
+    family = outcome.rejection.violated_family
+    assert [algebra.label(p) for p in family] == ["d", "a|b|c"]
+    assert belief(s1, family[0]) == pytest.approx(0.44, abs=1e-12)
+    assert belief(s2, family[1]) == pytest.approx(0.87, abs=1e-12)
+    assert not enhancement_bound_check(s1, s2, family)
+    assert "{d, a|b|c}" in outcome.rejection.message
+
+
+def test_every_two_source_rejection_carries_a_witness():
+    rng = np.random.default_rng(3)
+    algebras = [
+        build_algebra(["a", "na"], ["a&na = bot", "a|na = top"]),
+        powerset_algebra("a", "b", "c"),
+        build_algebra(["a", "b", "c"], ["a&b = a&c"]),
+        build_algebra(list("abcd"), POWERSET4),
+    ]
+
+    def random_bba(algebra):
+        pool = [p for p in algebra.lattice if not p.is_bot]
+        size = int(rng.integers(1, min(8, len(pool)) + 1))
+        picks = rng.choice(len(pool), size=size, replace=False)
+        weights = rng.dirichlet(np.ones(size))
+        return Bba(algebra, {pool[i]: float(w)
+                             for i, w in zip(picks, weights)})
+
+    rejected = 0
+    for k in range(400):
+        b1, b2 = (random_bba(algebras[k % 4]) for _ in range(2))
+        outcome = emr_fuse(b1, b2)
+        if outcome.accepted:
+            continue
+        rejected += 1
+        rejection = outcome.rejection
+        family = rejection.violated_family
+        assert family is not None
+        assert not enhancement_bound_check(b1, b2, family)
+        total = sum(max(belief(b1, p), belief(b2, p)) for p in family)
+        assert total >= 1.0 + rejection.phase1_residual / 2 - 1e-9
+        assert emr_check([b1, b2]) == (rejection.phase1_residual, rejection)
+        assert emr_fuse_approx(b1, b2).rejection == rejection
+    assert rejected >= 100
+
+
+def test_three_source_rejection_has_no_family(binary):
+    m1 = Bba.from_masses(binary, {"a": 0.75, "top": 0.25})
+    m2 = Bba.from_masses(binary, {"na": 0.5, "top": 0.5})
+    outcome = emr_fuse_n([m1, m2, total_ignorance(binary)])
+    assert not outcome.accepted
+    assert outcome.rejection.violated_family is None
+    assert "family" not in outcome.rejection.message
 
 
 def test_binary_entry_point_equals_nary(powerset_abc):

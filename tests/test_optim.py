@@ -17,6 +17,16 @@ def grid_cells(rows, cols):
     return [(i, j) for i in range(rows) for j in range(cols)]
 
 
+def assert_maximum_flow(cells, marginals, forbidden, point, residual):
+    """An infeasible phase I over two unit marginals ends on a maximum
+    flow: nonnegative, within both marginals, of total 1 - residual / 2."""
+    allowed = [c for c in cells if c not in set(forbidden)]
+    A, b = _cell_matrix(allowed, marginals)
+    assert point.min() >= 0.0
+    assert (A @ point <= b + 1e-12).all()
+    assert point.sum() == pytest.approx(1.0 - residual / 2, abs=1e-12)
+
+
 # -- linear programming ------------------------------------------------------
 
 
@@ -130,7 +140,7 @@ def test_feasible_point_detects_blocked_flow():
     ok, residual, point = feasible_point(cells, marg, forbidden=[(0, 0)])
     assert not ok
     assert residual > 1e-6
-    assert point is None
+    assert_maximum_flow(cells, marg, [(0, 0)], point, residual)
 
 
 def test_feasible_point_everything_forbidden():
@@ -191,8 +201,10 @@ def test_maxent_reports_infeasibility():
     cells, marginals, forbidden = zadeh_cells(0.501, 0.0, 0.501, 0.0)
     result = maxent_projected_gradient(cells, marginals, forbidden)
     assert not result.feasible
-    assert result.f is None
     assert result.phase1_residual > 1e-9
+    assert_maximum_flow(
+        cells, marginals, forbidden, result.f, result.phase1_residual
+    )
 
 
 def test_maxent_respects_forbidden_cells():
