@@ -25,7 +25,7 @@ def main():
         "dempster": dempster_fuse(m, m),
         "tbm": tbm_fuse(m, m),
         "emr": emr_fuse(m, m).bba,
-        "emr-approx": emr_fuse_approx(m, m).bba,
+        "emr-approx": emr_fuse_approx([m, m]).bba,
     }
 
     names = list(columns)

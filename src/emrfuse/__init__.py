@@ -47,7 +47,7 @@ from .emr import (
     zadeh_family_bbas,
     zadeh_family_oracle,
 )
-from .optim import LinearProgram, LpResult, SolverConfig, lp_solve
+from .optim import SolverConfig
 from .rules import (
     ConjunctiveImage,
     InsulationError,

@@ -111,14 +111,7 @@ def _run_rule(
     if rule == "emr":
         return emr_fuse_n(bbas, config=config)
     if rule == "emr-approx":
-        acc = bbas[0]
-        outcome = None
-        for nxt in bbas[1:]:
-            outcome = emr_fuse_approx(acc, nxt, config=config)
-            if not outcome.accepted:
-                return outcome
-            acc = outcome.bba
-        return outcome
+        return emr_fuse_approx(bbas, config=config)
     fold = {
         "conjunctive": tbm_fuse,
         "tbm": tbm_fuse,
@@ -282,6 +275,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="explicitly rescale mis-normalized source masses",
     )
+
+
+def _add_solver(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol", type=float, default=None, help="solver optimality tolerance"
     )
@@ -304,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuse = sub.add_parser("fuse", help="fuse sources under one rule")
     _add_common(p_fuse)
+    _add_solver(p_fuse)
     p_fuse.add_argument("--rule", default="emr", help="rule identifier")
     p_fuse.add_argument("--sources", required=True, help="comma-separated names")
     p_fuse.add_argument("--out", default=None, help="write the report here")
@@ -314,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="run several rules side by side")
     _add_common(p_compare)
+    _add_solver(p_compare)
     p_compare.add_argument("--rules", required=True, help="comma-separated rules")
     p_compare.add_argument("--sources", required=True)
     p_compare.set_defaults(func=cmd_compare)

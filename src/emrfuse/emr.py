@@ -23,6 +23,7 @@ from .optim import (
     PgResult,
     SolverConfig,
     feasible_point,
+    joint_entropy,
     maxent_projected_gradient,
     quadratic_projected_gradient,
 )
@@ -90,7 +91,7 @@ class IpfReport:
     entropy: float
 
 
-def _joint_problem(bbas: Sequence[Bba]):
+def _joint_problem(bbas: Sequence[Bba], cell_cap: int = DEFAULT_CELL_CAP):
     if len(bbas) < 2:
         raise EmrError("at least two bbas are required")
     algebra = bbas[0].algebra
@@ -106,6 +107,12 @@ def _joint_problem(bbas: Sequence[Bba]):
                 "assignments with mass on bot"
             )
     focal_lists = [b.focals for b in bbas]
+    cell_count = math.prod(len(fl) for fl in focal_lists)
+    if cell_count > cell_cap:
+        raise CellCapError(
+            f"joint assignment needs {cell_count} cells, above the cap "
+            f"{cell_cap}"
+        )
     marginals = [
         np.array([b.mass(p) for p in focals])
         for b, focals in zip(bbas, focal_lists)
@@ -180,9 +187,14 @@ def _fuse(
     bbas: Sequence[Bba],
     solve: Callable[..., PgResult],
     config: SolverConfig | None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> FusionOutcome:
-    """Solve the joint problem of ``bbas``; reject, or fuse the meets."""
-    algebra, focal_lists, marginals, allowed, _ = _joint_problem(bbas)
+    """Solve the joint problem of ``bbas``; reject, or fuse the meets.
+    The diagnostics report the entropy of the joint assignment whatever
+    objective ``solve`` maximized."""
+    algebra, focal_lists, marginals, allowed, _ = _joint_problem(
+        bbas, cell_cap
+    )
     result = solve(list(allowed), marginals, config=config)
     if not result.feasible:
         rejection = _rejection(
@@ -196,7 +208,7 @@ def _fuse(
             prop = Proposition(algebra, bits)
             masses[prop] = masses.get(prop, 0.0) + float(value)
     diagnostics = Diagnostics(
-        entropy=result.objective,
+        entropy=joint_entropy(result.f),
         iterations=result.iterations,
         max_marginal_residual=result.max_marginal_residual,
         optimality_certificate=result.certificate,
@@ -215,13 +227,7 @@ def emr_fuse_n(
     joint assignment subject to all N marginals, with cells whose meet is
     bot pinned to zero; the fused mass of phi sums the optimum over tuples
     whose meet is phi."""
-    cell_count = math.prod(len(b.focals) for b in bbas)
-    if cell_count > cell_cap:
-        raise CellCapError(
-            f"joint assignment needs {cell_count} cells, above the cap "
-            f"{cell_cap}"
-        )
-    return _fuse(bbas, maxent_projected_gradient, config)
+    return _fuse(bbas, maxent_projected_gradient, config, cell_cap)
 
 
 def emr_fuse(
@@ -233,23 +239,20 @@ def emr_fuse(
 
 
 def emr_fuse_approx(
-    bba1: Bba, bba2: Bba, config: SolverConfig | None = None
+    bbas: Sequence[Bba], config: SolverConfig | None = None
 ) -> FusionOutcome:
-    """Same constraint set as emr_fuse, with the quadratic surrogate
-    objective ``-sum f**2`` instead of the entropy."""
-    return _fuse([bba1, bba2], quadratic_projected_gradient, config)
+    """Simultaneous fusion of N coherent bbas over the same joint problem
+    as ``emr_fuse_n``, maximizing the quadratic surrogate ``-sum f**2``
+    instead of the entropy."""
+    return _fuse(bbas, quadratic_projected_gradient, config)
 
 
-def emr_check(
-    bbas: Sequence[Bba], feasibility_tol: float = 1e-9
-) -> tuple[float, Rejection | None]:
+def emr_check(bbas: Sequence[Bba]) -> tuple[float, Rejection | None]:
     """Phase-I feasibility of the fusion without the optimum: the
     residual (0 when feasible) and the rejection that ``emr_fuse_n``
     would return, or None when the sources are compatible."""
     algebra, focal_lists, marginals, allowed, _ = _joint_problem(bbas)
-    ok, residual, point = feasible_point(
-        list(allowed), marginals, feasibility_tol=feasibility_tol
-    )
+    ok, residual, point = feasible_point(list(allowed), marginals)
     if ok:
         return residual, None
     return residual, _rejection(
@@ -257,12 +260,10 @@ def emr_check(
     )
 
 
-def emr_feasible(
-    bbas: Sequence[Bba], feasibility_tol: float = 1e-9
-) -> tuple[bool, float]:
+def emr_feasible(bbas: Sequence[Bba]) -> tuple[bool, float]:
     """Phase-I feasibility of the fusion; returns the verdict and the
     residual (0 when feasible).  ``emr_check`` adds the witness."""
-    residual, rejection = emr_check(bbas, feasibility_tol)
+    residual, rejection = emr_check(bbas)
     return rejection is None, residual
 
 

@@ -1,8 +1,9 @@
-"""Self-contained optimization kernel: dense two-phase simplex linear
-programming, and Newton steps on the maximal support (the cells some
+"""Self-contained optimization kernel for the transportation polytope of
+the allowed joint-assignment cells: phase I of a dense simplex decides
+feasibility, and Newton steps on the maximal support (the cells some
 feasible joint assignment makes positive, where the entropy optimum has
-product form: Csiszar 1975, Ann. Probab. 3:146) to maximize the entropy
-or a quadratic surrogate of a joint assignment.
+product form: Csiszar 1975, Ann. Probab. 3:146) maximize the entropy or
+a quadratic surrogate of the joint assignment.
 
 Problem sizes are tiny (at most a few hundred joint-assignment cells), so a
 dense tableau with Bland's anti-cycling rule is used throughout; clarity
@@ -11,8 +12,8 @@ over speed.  Cell ordering is deterministic, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +22,13 @@ _RED_COST_TOL = 1e-9
 _REFRESH_EVERY = 128
 _ZERO_TOL = 1e-14
 _MAX_BACKTRACKS = 40
+# Phase-I residuals up to this count as feasible.
+_FEASIBILITY_TOL = 1e-9
+# The objective loss a step may show from rounding alone.
+_IMPROVEMENT_TOL = 1e-12
+# Stands in for 0 in the logarithm of the entropy's derivatives at empty
+# cells.
+_LN_FLOOR = 1e-12
 
 
 class OptimError(RuntimeError):
@@ -30,54 +38,16 @@ class OptimError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """``max_iterations`` caps the phase-I vertex plus the Newton steps;
-    ``improvement_tol`` is the objective loss a step may show from
-    rounding alone; ``ln_floor`` stands in for 0 in the logarithm of the
-    entropy's derivatives at empty cells."""
+    a result is certified when its certificate, an upper bound on the
+    objective gap, is at most ``certificate_tol``."""
 
     max_iterations: int = 10_000
-    improvement_tol: float = 1e-12
     certificate_tol: float = 1e-7
-    feasibility_tol: float = 1e-9
-    ln_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_iterations",
-            "improvement_tol",
-            "certificate_tol",
-            "feasibility_tol",
-            "ln_floor",
-        ):
+        for name in ("max_iterations", "certificate_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Maximize objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0,
-    with ``fixed_zero`` variables pinned to 0."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    fixed_zero: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        m, n = np.shape(self.eq_matrix)
-        if np.shape(self.objective) != (n,) or np.shape(self.eq_rhs) != (m,):
-            raise ValueError("inconsistent linear program dimensions")
-        if not np.all(np.isfinite(self.eq_rhs)):
-            raise ValueError("right-hand side must be finite")
-        if self.fixed_zero is not None and np.shape(self.fixed_zero) != (n,):
-            raise ValueError("fixed_zero mask has wrong length")
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    value: float | None
-    phase1_residual: float = 0.0
 
 
 class _Simplex:
@@ -207,33 +177,6 @@ class _Simplex:
         status = self._bland_loop(c_ext, enter_limit=self.n)
         return status, self.solution()
 
-    def duals(self, c: np.ndarray) -> np.ndarray:
-        """Dual prices of the equality rows for the current optimal basis."""
-        c_ext = np.concatenate([c, np.zeros(self.A_full.shape[1] - self.n)])
-        B = self.A_full[:, self.basis]
-        return np.linalg.solve(B.T, c_ext[self.basis])
-
-
-def lp_solve(lp: LinearProgram, feasibility_tol: float = 1e-9) -> LpResult:
-    """Two-phase dense simplex with Bland's anti-cycling rule."""
-    A = np.asarray(lp.eq_matrix, dtype=float)
-    c = np.asarray(lp.objective, dtype=float)
-    b = np.asarray(lp.eq_rhs, dtype=float)
-    n = A.shape[1]
-    if lp.fixed_zero is not None:
-        active = ~np.asarray(lp.fixed_zero, dtype=bool)
-    else:
-        active = np.ones(n, dtype=bool)
-    simplex = _Simplex(A[:, active], b)
-    if simplex.phase1_residual > feasibility_tol:
-        return LpResult("infeasible", None, None, simplex.phase1_residual)
-    status, x_active = simplex.optimize(c[active])
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, simplex.phase1_residual)
-    x = np.zeros(n)
-    x[active] = x_active
-    return LpResult("optimal", x, float(c @ x), simplex.phase1_residual)
-
 
 # -- transportation-style problems over joint-assignment cells ---------------
 
@@ -274,16 +217,16 @@ class PgResult:
     objective_history: tuple[float, ...] = ()
 
 
-def _entropy(f: np.ndarray) -> float:
-    # 0 * ln 0 := 0 throughout.
+def joint_entropy(f: np.ndarray) -> float:
+    """Shannon entropy of a joint assignment, with 0 * ln 0 := 0."""
     positive = f > 0.0
     return float(-(f[positive] * np.log(f[positive])).sum())
 
 
-def _entropy_gradient(f: np.ndarray, ln_floor: float) -> np.ndarray:
+def _entropy_gradient(f: np.ndarray) -> np.ndarray:
     # Exact on positive cells, however small: a floor there would misplace
-    # optima below it.  Empty cells take ln_floor in place of 0.
-    return -(1.0 + np.log(np.where(f > 0.0, f, ln_floor)))
+    # optima below it.  Empty cells take _LN_FLOOR in place of 0.
+    return -(1.0 + np.log(np.where(f > 0.0, f, _LN_FLOOR)))
 
 
 def _newton_step(
@@ -332,20 +275,13 @@ def _newton_step(
 
 
 def _phase_one(
-    cells: Sequence[tuple[int, ...]],
-    marginals: Sequence[np.ndarray],
-    forbidden: Iterable[tuple[int, ...]],
-) -> tuple[float, np.ndarray | None, np.ndarray | None, _Simplex | None]:
-    """The phase-I residual, the equality system of the allowed cells and
-    its simplex after phase I (no system when every cell is forbidden)."""
-    forbidden = set(forbidden)
-    allowed = [cell for cell in cells if cell not in forbidden]
-    if not allowed:
-        residual = float(sum(np.abs(np.asarray(m)).sum() for m in marginals))
-        return residual, None, None, None
-    A, b = _cell_matrix(allowed, marginals)
+    cells: Sequence[tuple[int, ...]], marginals: Sequence[np.ndarray]
+) -> tuple[bool, np.ndarray, np.ndarray, _Simplex]:
+    """The feasibility verdict, the equality system of the cells and its
+    simplex after phase I."""
+    A, b = _cell_matrix(cells, marginals)
     simplex = _Simplex(A, b)
-    return simplex.phase1_residual, A, b, simplex
+    return simplex.phase1_residual <= _FEASIBILITY_TOL, A, b, simplex
 
 
 def _maximal_support_point(
@@ -380,7 +316,6 @@ def _maximal_support_point(
 def _maximize(
     cells: Sequence[tuple[int, ...]],
     marginals: Sequence[np.ndarray],
-    forbidden: Iterable[tuple[int, ...]],
     config: SolverConfig,
     value_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -396,27 +331,17 @@ def _maximize(
     stops on it and drops the cells it empties, and a face optimum that
     does not certify is left by a line step toward the certificate
     vertex."""
-    phase1, A, b, simplex = _phase_one(cells, marginals, forbidden)
-    if phase1 > config.feasibility_tol:
+    feasible, A, b, simplex = _phase_one(cells, marginals)
+    phase1 = simplex.phase1_residual
+    if not feasible:
         return PgResult(
             feasible=False,
-            f=np.zeros(0) if simplex is None else simplex.solution(),
+            f=simplex.solution(),
             objective=float("nan"),
             iterations=0,
             certificate=float("inf"),
             certified=False,
             max_marginal_residual=float("inf"),
-            phase1_residual=phase1,
-        )
-    if simplex is None:
-        return PgResult(
-            feasible=True,
-            f=np.zeros(0),
-            objective=0.0,
-            iterations=0,
-            certificate=0.0,
-            certified=True,
-            max_marginal_residual=phase1,
             phase1_residual=phase1,
         )
 
@@ -451,13 +376,13 @@ def _maximize(
         delta, blocked = step
         # Backtrack so that the objective never decreases.  Near the
         # optimum the gain of a step is below the resolution of the summed
-        # objective, so a loss within improvement_tol counts as rounding
+        # objective, so a loss within _IMPROVEMENT_TOL counts as rounding
         # and the recorded objective keeps its best value.
         for _ in range(_MAX_BACKTRACKS):
             candidate = np.maximum(f + delta, 0.0)
             candidate[blocked] = 0.0
             candidate_value = value_fn(candidate)
-            if candidate_value >= value - config.improvement_tol:
+            if candidate_value >= value - _IMPROVEMENT_TOL:
                 break
             delta *= 0.5
             blocked[:] = False
@@ -492,25 +417,19 @@ def _maximize(
 
 
 def feasible_point(
-    cells: Sequence[tuple[int, ...]],
-    marginals: Sequence[np.ndarray],
-    forbidden: Iterable[tuple[int, ...]] = (),
-    feasibility_tol: float = 1e-9,
+    cells: Sequence[tuple[int, ...]], marginals: Sequence[np.ndarray]
 ) -> tuple[bool, float, np.ndarray]:
-    """Phase-I check: does a nonnegative cell vector meeting all marginals
-    exist, with forbidden cells zeroed?  Returns (feasible, residual,
-    point).  On an infeasible verdict the point is the phase-I optimum:
-    for two unit marginals a maximum flow over the allowed cells, of
-    total ``1 - residual / 2``."""
-    residual, _, _, simplex = _phase_one(cells, marginals, forbidden)
-    point = np.zeros(0) if simplex is None else simplex.solution()
-    return residual <= feasibility_tol, residual, point
+    """Phase-I check: does a nonnegative vector on the allowed cells meet
+    all marginals?  Returns (feasible, residual, point).  On an infeasible
+    verdict the point is the phase-I optimum: for two unit marginals a
+    maximum flow over the allowed cells, of total ``1 - residual / 2``."""
+    feasible, _, _, simplex = _phase_one(cells, marginals)
+    return feasible, simplex.phase1_residual, simplex.solution()
 
 
 def maxent_projected_gradient(
     cells: Sequence[tuple[int, ...]],
     marginals: Sequence[np.ndarray],
-    forbidden: Iterable[tuple[int, ...]] = (),
     config: SolverConfig | None = None,
 ) -> PgResult:
     """Maximize the entropy of a joint assignment under marginal equality
@@ -522,11 +441,10 @@ def maxent_projected_gradient(
     return _maximize(
         cells,
         marginals,
-        forbidden,
         config,
-        value_fn=_entropy,
-        grad_fn=lambda f: _entropy_gradient(f, config.ln_floor),
-        hess_fn=lambda f: -1.0 / np.where(f > 0.0, f, config.ln_floor),
+        value_fn=joint_entropy,
+        grad_fn=_entropy_gradient,
+        hess_fn=lambda f: -1.0 / np.where(f > 0.0, f, _LN_FLOOR),
         interior=True,
     )
 
@@ -534,7 +452,6 @@ def maxent_projected_gradient(
 def quadratic_projected_gradient(
     cells: Sequence[tuple[int, ...]],
     marginals: Sequence[np.ndarray],
-    forbidden: Iterable[tuple[int, ...]] = (),
     config: SolverConfig | None = None,
 ) -> PgResult:
     """Same driver with the quadratic surrogate objective ``-sum f**2``,
@@ -543,7 +460,6 @@ def quadratic_projected_gradient(
     return _maximize(
         cells,
         marginals,
-        forbidden,
         config,
         value_fn=lambda f: float(-(f * f).sum()),
         grad_fn=lambda f: -2.0 * f,

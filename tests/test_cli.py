@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
+import itertools
+import math
+
 import pytest
 
 from emrfuse.cli import CliError, load_model, main
@@ -180,6 +183,32 @@ def test_fuse_three_sources(capsys, models_dir):
     assert "status: fused" in out
 
 
+def test_fuse_emr_approx_is_simultaneous(capsys, models_dir):
+    # Fused pairwise in the order s1, s2, s3 the surrogate rejects; the
+    # one joint problem over all three sources has a single solution,
+    # two cells of 0.5, whatever the order of the sources.
+    model = str(models_dir / "binary_frame.yaml")
+    for order in itertools.permutations(["s1", "s2", "s3"]):
+        code, out, _ = run(
+            capsys, "fuse", model, "--rule", "emr-approx",
+            "--sources", ",".join(order),
+        )
+        assert code == 0, order
+        assert out.count("mass: 0.5\n") == 2
+        assert 'label: "a"' in out and 'label: "na"' in out
+        assert f"entropy: {math.log(2):.12g}" in out
+
+
+def test_fuse_accepts_solver_flags(capsys, models_dir):
+    code, out, _ = run(
+        capsys, "fuse", str(models_dir / "powerset_abc.yaml"),
+        "--rule", "emr", "--sources", "s1,s2", "--tol", "1e-3",
+        "--max-iter", "5",
+    )
+    assert code == 0
+    assert "status: fused" in out
+
+
 # -- compare subcommand ------------------------------------------------------
 
 
@@ -226,6 +255,16 @@ def test_check_infeasible_with_witness(capsys, models_dir):
     assert code == 2
     assert "feasible: false" in out
     assert "violated_family" in out
+
+
+def test_check_rejects_solver_flags(capsys, models_dir):
+    # check runs phase I only, so it takes no solver settings.
+    model = str(models_dir / "zadeh_relaxed.yaml")
+    for flag in ("--tol", "--max-iter"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", model, "--sources", "s1,s2", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_and_fuse_report_the_same_family(capsys, models_dir):

@@ -1,6 +1,9 @@
 """Entropy-maximizing fusion: solver, closed-form oracle, IPF oracle,
 feasibility analysis and the quadratic approximation."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -172,7 +175,7 @@ def test_every_two_source_rejection_carries_a_witness():
         total = sum(max(belief(b1, p), belief(b2, p)) for p in family)
         assert total >= 1.0 + rejection.phase1_residual / 2 - 1e-9
         assert emr_check([b1, b2]) == (rejection.phase1_residual, rejection)
-        assert emr_fuse_approx(b1, b2).rejection == rejection
+        assert emr_fuse_approx([b1, b2]).rejection == rejection
     assert rejected >= 100
 
 
@@ -298,21 +301,46 @@ def test_cell_cap(powerset_abc):
         emr_fuse_n([b, b], cell_cap=4)
 
 
+def test_oversize_joint_is_refused_before_its_cells_are_built():
+    # 8 sources of 8 focals each need 8**8 = 16,777,216 cells, above the
+    # default cap; every entry point refuses them without building one.
+    algebra = build_algebra(list("abcd"), POWERSET4)
+    focals = [p for p in algebra.lattice if not p.is_bot][:8]
+    bbas = [Bba(algebra, {p: 0.125 for p in focals})] * 8
+    start = time.perf_counter()
+    for entry_point in (emr_check, emr_fuse_approx, ipf_oracle):
+        with pytest.raises(CellCapError, match="16777216 cells"):
+            entry_point(bbas)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- quadratic approximation -------------------------------------------------
 
 
 def test_approx_close_to_entropy_solution():
     b1, b2, algebra = zadeh_family_bbas(0.3, 0.1, 0.3, 0.1)
     exact = emr_fuse(b1, b2)
-    approx = emr_fuse_approx(b1, b2)
+    approx = emr_fuse_approx([b1, b2])
     assert approx.accepted
     for prop in algebra.lattice:
         assert abs(approx.bba.mass(prop) - exact.bba.mass(prop)) <= 0.05
 
 
+def test_approx_diagnostics_report_the_joint_entropy():
+    # The surrogate optimum puts theta = f(c, c) = 0.075 here; the
+    # diagnostics carry the entropy of that joint assignment, not the
+    # surrogate objective -sum f**2 = -0.2525.
+    b1, b2, _ = zadeh_family_bbas(0.05, 0.3, 0.05, 0.3)
+    joint = [0.05, 0.05, 0.075, 0.225, 0.225, 0.375]
+    outcome = emr_fuse_approx([b1, b2])
+    assert outcome.diagnostics.entropy == pytest.approx(
+        -sum(v * math.log(v) for v in joint), abs=1e-9
+    )
+
+
 def test_approx_rejects_like_emr():
     b1, b2, _ = zadeh_family_bbas(0.99, 0.01, 0.99, 0.01)
-    assert not emr_fuse_approx(b1, b2).accepted
+    assert not emr_fuse_approx([b1, b2]).accepted
 
 
 # -- IPF oracle --------------------------------------------------------------

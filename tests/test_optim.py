@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emrfuse import LinearProgram, SolverConfig, lp_solve
+from emrfuse import SolverConfig
 from emrfuse.optim import (
     _cell_matrix,
     _Simplex,
@@ -17,11 +17,10 @@ def grid_cells(rows, cols):
     return [(i, j) for i in range(rows) for j in range(cols)]
 
 
-def assert_maximum_flow(cells, marginals, forbidden, point, residual):
+def assert_maximum_flow(cells, marginals, point, residual):
     """An infeasible phase I over two unit marginals ends on a maximum
     flow: nonnegative, within both marginals, of total 1 - residual / 2."""
-    allowed = [c for c in cells if c not in set(forbidden)]
-    A, b = _cell_matrix(allowed, marginals)
+    A, b = _cell_matrix(cells, marginals)
     assert point.min() >= 0.0
     assert (A @ point <= b + 1e-12).all()
     assert point.sum() == pytest.approx(1.0 - residual / 2, abs=1e-12)
@@ -31,64 +30,23 @@ def assert_maximum_flow(cells, marginals, forbidden, point, residual):
 
 
 def test_lp_solve_simple_optimum():
-    lp = LinearProgram(
-        objective=np.array([3.0, 1.0]),
-        eq_matrix=np.array([[1.0, 1.0]]),
-        eq_rhs=np.array([1.0]),
-    )
-    result = lp_solve(lp)
-    assert result.status == "optimal"
-    assert result.value == pytest.approx(3.0, abs=1e-12)
-    assert result.x == pytest.approx([1.0, 0.0], abs=1e-12)
+    c = np.array([3.0, 1.0])
+    simplex = _Simplex(np.array([[1.0, 1.0]]), np.array([1.0]))
+    status, x = simplex.optimize(c)
+    assert status == "optimal"
+    assert c @ x == pytest.approx(3.0, abs=1e-12)
+    assert x == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_lp_solve_detects_infeasibility():
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        eq_matrix=np.array([[0.0]]),
-        eq_rhs=np.array([1.0]),
-    )
-    result = lp_solve(lp)
-    assert result.status == "infeasible"
-    assert result.phase1_residual > 1e-9
+    simplex = _Simplex(np.array([[0.0]]), np.array([1.0]))
+    assert simplex.phase1_residual > 1e-9
 
 
 def test_lp_solve_detects_unboundedness():
-    lp = LinearProgram(
-        objective=np.array([1.0, 0.0]),
-        eq_matrix=np.array([[0.0, 1.0]]),
-        eq_rhs=np.array([1.0]),
-    )
-    result = lp_solve(lp)
-    assert result.status == "unbounded"
-
-
-def test_lp_solve_fixed_zero_mask():
-    # Transportation square with one corner disabled.
-    cells = grid_cells(2, 2)
-    A, b = _cell_matrix(cells, [np.array([0.6, 0.4]), np.array([0.5, 0.5])])
-    lp = LinearProgram(
-        objective=np.zeros(4),
-        eq_matrix=A,
-        eq_rhs=b,
-        fixed_zero=np.array([False, False, True, False]),
-    )
-    result = lp_solve(lp)
-    assert result.status == "optimal"
-    x = dict(zip(cells, result.x))
-    assert x[(1, 0)] == 0.0
-    assert x[(1, 1)] == pytest.approx(0.4, abs=1e-9)
-    assert x[(0, 0)] == pytest.approx(0.5, abs=1e-9)
-    assert x[(0, 1)] == pytest.approx(0.1, abs=1e-9)
-
-
-def test_lp_solve_dimension_checks():
-    with pytest.raises(ValueError):
-        LinearProgram(
-            objective=np.array([1.0]),
-            eq_matrix=np.array([[1.0, 1.0]]),
-            eq_rhs=np.array([1.0]),
-        )
+    simplex = _Simplex(np.array([[0.0, 1.0]]), np.array([1.0]))
+    status, _ = simplex.optimize(np.array([1.0, 0.0]))
+    assert status == "unbounded"
 
 
 def test_simplex_duals_satisfy_complementary_slackness():
@@ -100,7 +58,10 @@ def test_simplex_duals_satisfy_complementary_slackness():
     simplex = _Simplex(A, b)
     status, x = simplex.optimize(c)
     assert status == "optimal"
-    y = simplex.duals(c)
+    # Dual prices of the equality rows for the optimal basis.
+    basis = simplex.A_full[:, simplex.basis]
+    c_ext = np.concatenate([c, np.zeros(simplex.A_full.shape[1] - simplex.n)])
+    y = np.linalg.solve(basis.T, c_ext[simplex.basis])
     reduced = c - y @ simplex.A_full[:, : simplex.n]
     # Dual feasibility and complementary slackness at the optimum.
     assert reduced.max() <= 1e-8
@@ -135,18 +96,19 @@ def test_feasible_point_on_open_square():
 
 def test_feasible_point_detects_blocked_flow():
     # Row 0 carries 0.7 but can only reach column 1 with capacity 0.3.
-    cells = grid_cells(2, 2)
+    cells = [(0, 1), (1, 0), (1, 1)]
     marg = [np.array([0.7, 0.3]), np.array([0.7, 0.3])]
-    ok, residual, point = feasible_point(cells, marg, forbidden=[(0, 0)])
+    ok, residual, point = feasible_point(cells, marg)
     assert not ok
     assert residual > 1e-6
-    assert_maximum_flow(cells, marg, [(0, 0)], point, residual)
+    assert_maximum_flow(cells, marg, point, residual)
 
 
 def test_feasible_point_everything_forbidden():
-    cells = grid_cells(1, 1)
+    # No allowed cell: phase I of the 2 x 0 system leaves both unit
+    # marginals unmet.
     marg = [np.array([1.0]), np.array([1.0])]
-    ok, residual, _ = feasible_point(cells, marg, forbidden=[(0, 0)])
+    ok, residual, _ = feasible_point([], marg)
     assert not ok
     assert residual == pytest.approx(2.0)
 
@@ -154,25 +116,27 @@ def test_feasible_point_everything_forbidden():
 # -- entropy maximization ----------------------------------------------------
 
 
+ZADEH_FORBIDDEN = [(0, 0), (0, 1), (1, 0)]
+
+
 def zadeh_cells(alpha1, gamma1, beta2, gamma2):
     """Axis 0 focals (a, c, top), axis 1 focals (b, c, top); the meets
-    a&b, a&c and c&b are empty."""
-    cells = grid_cells(3, 3)
+    a&b, a&c and c&b are empty, so the allowed cells leave them out."""
+    cells = [c for c in grid_cells(3, 3) if c not in ZADEH_FORBIDDEN]
     marginals = [
         np.array([alpha1, gamma1, 1.0 - alpha1 - gamma1]),
         np.array([beta2, gamma2, 1.0 - beta2 - gamma2]),
     ]
-    forbidden = [(0, 0), (0, 1), (1, 0)]
-    return cells, marginals, forbidden
+    return cells, marginals
 
 
 def test_maxent_matches_closed_form():
-    cells, marginals, forbidden = zadeh_cells(0.3, 0.1, 0.3, 0.1)
-    result = maxent_projected_gradient(cells, marginals, forbidden)
+    cells, marginals = zadeh_cells(0.3, 0.1, 0.3, 0.1)
+    result = maxent_projected_gradient(cells, marginals)
     assert result.feasible and result.certified
     assert result.certificate <= 1e-7
     assert result.max_marginal_residual <= 1e-8
-    f = dict(zip([c for c in cells if c not in set(forbidden)], result.f))
+    f = dict(zip(cells, result.f))
     # theta = gamma1 * gamma2 / (1 - alpha1 - beta2) = 0.025
     assert f[(1, 1)] == pytest.approx(0.025, abs=1e-6)
     assert f[(0, 2)] == pytest.approx(0.3, abs=1e-6)
@@ -180,9 +144,9 @@ def test_maxent_matches_closed_form():
 
 
 def test_maxent_optimum_has_product_form():
-    cells, marginals, forbidden = zadeh_cells(0.3, 0.1, 0.3, 0.1)
-    result = maxent_projected_gradient(cells, marginals, forbidden)
-    f = dict(zip([c for c in cells if c not in set(forbidden)], result.f))
+    cells, marginals = zadeh_cells(0.3, 0.1, 0.3, 0.1)
+    result = maxent_projected_gradient(cells, marginals)
+    f = dict(zip(cells, result.f))
     # On the support rectangle {c, top} x {c, top} the entropy optimum
     # factorizes, so the cross-ratio is 1.
     assert f[(1, 1)] * f[(2, 2)] == pytest.approx(
@@ -191,37 +155,35 @@ def test_maxent_optimum_has_product_form():
 
 
 def test_maxent_entropy_history_is_monotone():
-    cells, marginals, forbidden = zadeh_cells(0.3, 0.05, 0.2, 0.15)
-    result = maxent_projected_gradient(cells, marginals, forbidden)
+    cells, marginals = zadeh_cells(0.3, 0.05, 0.2, 0.15)
+    result = maxent_projected_gradient(cells, marginals)
     history = result.objective_history
     assert all(b >= a for a, b in zip(history, history[1:]))
 
 
 def test_maxent_reports_infeasibility():
-    cells, marginals, forbidden = zadeh_cells(0.501, 0.0, 0.501, 0.0)
-    result = maxent_projected_gradient(cells, marginals, forbidden)
+    cells, marginals = zadeh_cells(0.501, 0.0, 0.501, 0.0)
+    result = maxent_projected_gradient(cells, marginals)
     assert not result.feasible
     assert result.phase1_residual > 1e-9
-    assert_maximum_flow(
-        cells, marginals, forbidden, result.f, result.phase1_residual
-    )
+    assert_maximum_flow(cells, marginals, result.f, result.phase1_residual)
 
 
 def test_maxent_respects_forbidden_cells():
-    cells, marginals, forbidden = zadeh_cells(0.3, 0.1, 0.3, 0.1)
-    allowed = [c for c in cells if c not in set(forbidden)]
-    result = maxent_projected_gradient(cells, marginals, forbidden)
-    assert len(result.f) == len(allowed)
+    cells, marginals = zadeh_cells(0.3, 0.1, 0.3, 0.1)
+    result = maxent_projected_gradient(cells, marginals)
+    assert not set(ZADEH_FORBIDDEN) & set(cells)
+    assert len(result.f) == len(cells) == 6
     assert result.f.min() >= 0.0
 
 
 def test_quadratic_matches_closed_form():
     # With alpha = beta = 0.05 and gamma1 = gamma2 = 0.3 the surrogate
     # optimum is theta = (gamma1 + gamma2 - m_top_top_base) / 4 = 0.075.
-    cells, marginals, forbidden = zadeh_cells(0.05, 0.3, 0.05, 0.3)
-    result = quadratic_projected_gradient(cells, marginals, forbidden)
+    cells, marginals = zadeh_cells(0.05, 0.3, 0.05, 0.3)
+    result = quadratic_projected_gradient(cells, marginals)
     assert result.feasible
-    f = dict(zip([c for c in cells if c not in set(forbidden)], result.f))
+    f = dict(zip(cells, result.f))
     assert f[(1, 1)] == pytest.approx(0.075, abs=1e-6)
 
 
@@ -235,9 +197,9 @@ def test_solver_config_validation():
 
 
 def test_maxent_respects_iteration_cap():
-    cells, marginals, forbidden = zadeh_cells(0.3, 0.1, 0.25, 0.15)
+    cells, marginals = zadeh_cells(0.3, 0.1, 0.25, 0.15)
     config = SolverConfig(max_iterations=1)
-    result = maxent_projected_gradient(cells, marginals, forbidden, config)
+    result = maxent_projected_gradient(cells, marginals, config)
     assert result.iterations <= 1
 
 
@@ -260,14 +222,13 @@ def test_quadratic_optimum_off_part_of_the_maximal_support():
     # stopping on the boundary and re-entering cells where the optimum of
     # a face is not optimal.  Optimality: f = max(0, u_i + v_j) with
     # u = (0.28, 0.05, 0.55, 0.55) and v = (0, -0.495, -0.545).
-    cells = grid_cells(4, 3)
-    forbidden = [(1, 2), (3, 0)]
+    cells = [c for c in grid_cells(4, 3) if c not in [(1, 2), (3, 0)]]
     marginals = [np.array([0.28, 0.05, 0.61, 0.06]),
                  np.array([0.88, 0.11, 0.01])]
-    result = quadratic_projected_gradient(cells, marginals, forbidden)
+    result = quadratic_projected_gradient(cells, marginals)
     assert result.feasible and result.certified
     assert result.certificate <= 1e-12
-    f = dict(zip([c for c in cells if c not in set(forbidden)], result.f))
+    f = dict(zip(cells, result.f))
     expected = {
         (0, 0): 0.28, (0, 1): 0.0, (0, 2): 0.0, (1, 0): 0.05, (1, 1): 0.0,
         (2, 0): 0.55, (2, 1): 0.055, (2, 2): 0.005, (3, 1): 0.055,
