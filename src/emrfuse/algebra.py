@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 MAX_ATOMS = 12
@@ -239,6 +239,11 @@ class PreBooleanAlgebra:
         self.index = {p: i for i, p in enumerate(self.lattice)}
         self.bot = Proposition(self, 0)
         self.top = Proposition(self, surviving)
+        # The disjunction of all atoms, which ``validate`` checks for
+        # full belief on every bba.
+        self.atoms_join = Proposition(
+            self, reduce(or_, self._atom_bits.values())
+        )
         self._labels: dict[int, str] = {}
 
     def _close(self) -> tuple[int, ...]:

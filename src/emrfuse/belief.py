@@ -102,7 +102,7 @@ def validate(bba: Bba, tol: float = MASS_TOL) -> ValidationReport:
     if bba.coherent and bba.mass(bba.algebra.bot) != 0.0:
         errors.append("coherent bba carries mass on bot")
     if not errors:
-        atoms_join = bba.algebra.parse("|".join(bba.algebra.atoms))
+        atoms_join = bba.algebra.atoms_join
         if not atoms_join.is_top and belief(bba, atoms_join) < 1.0 - tol:
             warnings.append(
                 "belief of the disjunction of all atoms is below 1; "

@@ -7,6 +7,8 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +28,10 @@ from .rules import RuleError, conjunctive, dempster_fuse, free_dsmt_fuse, tbm_fu
 
 RULE_NAMES = ("conjunctive", "tbm", "free", "dempster", "emr", "emr-approx")
 
+# libyaml's loader when PyYAML was built with it; both run PyYAML's
+# Python SafeConstructor, so they build the same objects.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class CliError(ValueError):
     """Input problem reported to the user with exit code 1."""
@@ -41,7 +47,15 @@ class Model:
 def load_model(path: str, renormalize: bool = False) -> Model:
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            text = handle.read()
+        try:
+            raw = yaml.load(text, Loader=_YAML_LOADER)
+        except yaml.YAMLError:
+            # libyaml words its errors differently; report them as the
+            # pure-Python loader does when it reads the file.
+            stream = io.StringIO(text)
+            stream.name = path
+            raw = yaml.safe_load(stream)
     except OSError as exc:
         raise CliError(f"cannot read model file: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -286,7 +300,10 @@ def _add_solver(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` leaves it as it
+    was, so ``main`` can run any number of times."""
     parser = argparse.ArgumentParser(
         prog="emrfuse",
         description="Fuse evidence sources over constrained pre-Boolean algebras.",

@@ -118,16 +118,13 @@ def _joint_problem(bbas: Sequence[Bba], cell_cap: int = DEFAULT_CELL_CAP):
         for b, focals in zip(bbas, focal_lists)
     ]
     allowed: dict[tuple[int, ...], int] = {}
-    forbidden = set()
     for cell in itertools.product(*[range(len(fl)) for fl in focal_lists]):
         bits = algebra.surviving
         for axis, k in enumerate(cell):
             bits &= focal_lists[axis][k].bits
-        if bits == 0:
-            forbidden.add(cell)
-        else:
+        if bits != 0:
             allowed[cell] = bits
-    return algebra, focal_lists, marginals, allowed, forbidden
+    return algebra, focal_lists, marginals, allowed
 
 
 def _rejection(
@@ -192,9 +189,7 @@ def _fuse(
     """Solve the joint problem of ``bbas``; reject, or fuse the meets.
     The diagnostics report the entropy of the joint assignment whatever
     objective ``solve`` maximized."""
-    algebra, focal_lists, marginals, allowed, _ = _joint_problem(
-        bbas, cell_cap
-    )
+    algebra, focal_lists, marginals, allowed = _joint_problem(bbas, cell_cap)
     result = solve(list(allowed), marginals, config=config)
     if not result.feasible:
         rejection = _rejection(
@@ -251,7 +246,7 @@ def emr_check(bbas: Sequence[Bba]) -> tuple[float, Rejection | None]:
     """Phase-I feasibility of the fusion without the optimum: the
     residual (0 when feasible) and the rejection that ``emr_fuse_n``
     would return, or None when the sources are compatible."""
-    algebra, focal_lists, marginals, allowed, _ = _joint_problem(bbas)
+    algebra, focal_lists, marginals, allowed = _joint_problem(bbas)
     ok, residual, point = feasible_point(list(allowed), marginals)
     if ok:
         return residual, None
@@ -374,12 +369,12 @@ def ipf_oracle(
     to its marginal.  Converges to the entropy-maximizing joint assignment
     whenever one with full support on the (support-reduced) allowed cells
     exists; otherwise reports non-convergence."""
-    algebra, focal_lists, marginals, _, forbidden = _joint_problem(bbas)
+    _, focal_lists, marginals, meets = _joint_problem(bbas)
 
     shape = tuple(len(fl) for fl in focal_lists)
-    allowed = np.ones(shape, dtype=bool)
-    for cell in forbidden:
-        allowed[cell] = False
+    allowed = np.zeros(shape, dtype=bool)
+    for cell in meets:
+        allowed[cell] = True
     # Support reduction: zero marginals force their whole slice to zero.
     for axis, marginal in enumerate(marginals):
         for k in range(shape[axis]):
@@ -432,7 +427,8 @@ def ipf_oracle(
             cells=cell_map,
             forbidden=frozenset(
                 tuple(focal_lists[axis][k] for axis, k in enumerate(cell))
-                for cell in forbidden
+                for cell in np.ndindex(*shape)
+                if cell not in meets
             ),
         )
     return IpfReport(

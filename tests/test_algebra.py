@@ -18,6 +18,7 @@ from emrfuse import (
     parse_expression,
     powerset_algebra,
 )
+from emrfuse.cli import load_model
 
 
 def brute_force_bits(algebra, text):
@@ -228,6 +229,23 @@ def test_atom_forced_to_bot_warns():
     algebra = build_algebra(["a", "b"], ["a = bot"])
     assert algebra.warnings
     assert algebra.parse("a").is_bot
+
+
+@pytest.mark.parametrize(
+    "fixture", ["free_abc", "powerset_abc", "overlap_abc", "binary"]
+)
+def test_atoms_join_is_the_parsed_disjunction(request, fixture):
+    algebra = request.getfixturevalue(fixture)
+    assert algebra.atoms_join == algebra.parse("|".join(algebra.atoms))
+    assert algebra.atoms_join in algebra
+
+
+def test_atoms_join_on_shipped_models(models_dir):
+    paths = sorted(models_dir.glob("*.yaml"))
+    assert len(paths) == 7
+    for path in paths:
+        algebra = load_model(str(path)).algebra
+        assert algebra.atoms_join == algebra.parse("|".join(algebra.atoms)), path
 
 
 def test_lattice_explosion_guard(monkeypatch):

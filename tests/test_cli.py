@@ -4,7 +4,9 @@ import itertools
 import math
 
 import pytest
+import yaml
 
+from emrfuse import cli
 from emrfuse.cli import CliError, load_model, main
 
 
@@ -37,6 +39,44 @@ def test_load_model_bad_masses(tmp_path):
         load_model(str(path))
     model = load_model(str(path), renormalize=True)
     assert model.sources["s1"].mass(model.algebra.parse("a")) == 1.0
+
+
+def test_load_model_malformed_yaml(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("atoms: [a, b\nsources: []\n")
+    with pytest.raises(CliError, match="not valid YAML") as raised:
+        load_model(str(path))
+    # The message is the pure-Python loader's, whichever loader parsed.
+    with open(path) as handle, pytest.raises(yaml.YAMLError) as expected:
+        yaml.safe_load(handle)
+    assert str(raised.value) == f"model file is not valid YAML: {expected.value}"
+
+
+def test_shipped_models_load_alike_under_both_loaders(models_dir):
+    paths = sorted(models_dir.glob("*.yaml"))
+    assert len(paths) == 7
+    for path in paths:
+        with open(path) as handle:
+            slow = yaml.load(handle, Loader=yaml.SafeLoader)
+        with open(path) as handle:
+            fast = yaml.load(handle, Loader=cli._YAML_LOADER)
+        assert fast == slow and repr(fast) == repr(slow), path
+
+
+def test_load_model_uses_libyaml_when_built_with_it(monkeypatch, models_dir):
+    loaders = []
+    real_load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    load_model(str(models_dir / "powerset_abc.yaml"))
+    if yaml.__with_libyaml__:
+        assert loaders == [yaml.CSafeLoader]
+    else:
+        assert loaders == [yaml.SafeLoader]
 
 
 # -- algebra subcommand ------------------------------------------------------
@@ -290,3 +330,25 @@ def test_check_reports_witness_outside_the_focals(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--sources", "s1,s2")
     assert code == 2
     assert "violated_family: [d, a|b|c]" in out
+
+
+# -- repeated calls in one process -------------------------------------------
+
+
+def test_repeated_calls_leak_no_parser_state(capsys, models_dir):
+    # main() reuses one parser, so an option given to one call must not
+    # reach the next; --tol changes what fuse prints on this model.
+    model = str(models_dir / "powerset_abc.yaml")
+    check = ["check", model, "--sources", "s1,s2"]
+    fuse = ["fuse", model, "--rule", "emr", "--sources", "s1,s2"]
+    first_check = run(capsys, *check)
+    first_fuse = run(capsys, *fuse)
+    tight_fuse = run(capsys, *fuse, "--tol", "1e-3")
+    assert tight_fuse[0] == 0 and tight_fuse != first_fuse
+    with pytest.raises(SystemExit) as exc:
+        main([*check, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(capsys, *fuse) == first_fuse
+    assert run(capsys, *check) == first_check
+    assert run(capsys, *fuse, "--tol", "1e-3") == tight_fuse
