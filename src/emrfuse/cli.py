@@ -56,7 +56,7 @@ def load_model(path: str, renormalize: bool = False) -> Model:
             stream = io.StringIO(text)
             stream.name = path
             raw = yaml.safe_load(stream)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read model file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise CliError(f"model file is not valid YAML: {exc}") from exc

@@ -30,6 +30,15 @@ def test_load_model_missing_file(tmp_path):
         load_model(str(tmp_path / "nope.yaml"))
 
 
+def test_load_model_undecodable_file(capsys, tmp_path):
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"atoms: [a, b]\n\xff\n")
+    with pytest.raises(CliError, match="cannot read model file"):
+        load_model(str(path))
+    assert main(["check", str(path), "--sources", "s1,s2"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read model file: ")
+
+
 def test_load_model_bad_masses(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text(
